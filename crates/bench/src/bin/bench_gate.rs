@@ -58,13 +58,13 @@ const METRICS: &[Metric] = &[
         name: "factoring.cells_saved",
         higher_is_better: true,
         tol_mult: 0.05,
-        extract: |r| sum_factoring(r, "answer_cells_saved", true),
+        extract: |r| sum_factoring(r, "answer_cells_saved"),
     },
     Metric {
         name: "factoring.store_cells",
         higher_is_better: false,
         tol_mult: 0.05,
-        extract: |r| sum_factoring(r, "store_cells", true),
+        extract: |r| sum_factoring(r, "store_cells"),
     },
     Metric {
         // a ratio of two same-run timings, so machine speed divides out,
@@ -259,16 +259,16 @@ fn num_at(r: &Json, path: &[&str]) -> Option<f64> {
     as_f64(cur)
 }
 
-/// Sums `field` over the factoring rows, optionally only the
-/// substitution-factored stores (the gate guards the factored
-/// representation, not the full-tuple baseline).
-fn sum_factoring(r: &Json, field: &str, factored_only: bool) -> Option<f64> {
+/// Sums `field` over the factoring rows. Rows marked `"factored": false`
+/// come from the full-tuple store older baselines still record; that
+/// store no longer exists, so they are skipped.
+fn sum_factoring(r: &Json, field: &str) -> Option<f64> {
     let Json::Arr(rows) = r.get("factoring")? else {
         return None;
     };
     let mut total = 0.0;
     for row in rows {
-        if factored_only && row.get("factored") != Some(&Json::Bool(true)) {
+        if row.get("factored") == Some(&Json::Bool(false)) {
             continue;
         }
         total += as_f64(row.get(field)?)?;
@@ -467,11 +467,11 @@ mod tests {
                 "factoring",
                 Json::Arr(vec![
                     Json::obj([
-                        ("factored", Json::Bool(true)),
                         ("answer_cells_saved", Json::Int(saved)),
                         ("store_cells", Json::Int(store)),
                     ]),
-                    // the unfactored baseline row is ignored by the gate
+                    // a row from the deleted full-tuple store, as older
+                    // baselines record it: the gate must keep ignoring it
                     Json::obj([
                         ("factored", Json::Bool(false)),
                         ("answer_cells_saved", Json::Int(0)),
@@ -599,6 +599,28 @@ mod tests {
             .find(|r| r.name == "factoring.cells_saved")
             .unwrap();
         assert_eq!(r.status, Status::Fail, "{rows:?}");
+    }
+
+    #[test]
+    fn factoring_sums_skip_only_full_tuple_rows() {
+        let row = |factored: Option<bool>, saved: i64| {
+            let mut fields = vec![("answer_cells_saved", Json::Int(saved))];
+            if let Some(f) = factored {
+                fields.push(("factored", Json::Bool(f)));
+            }
+            Json::obj(fields)
+        };
+        let old = Json::obj([(
+            "factoring",
+            Json::Arr(vec![
+                row(Some(true), 64),
+                row(Some(false), 0),
+                row(Some(true), 256),
+            ]),
+        )]);
+        let new = Json::obj([("factoring", Json::Arr(vec![row(None, 64), row(None, 256)]))]);
+        assert_eq!(sum_factoring(&old, "answer_cells_saved"), Some(320.0));
+        assert_eq!(sum_factoring(&new, "answer_cells_saved"), Some(320.0));
     }
 
     #[test]

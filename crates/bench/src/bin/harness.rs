@@ -236,7 +236,6 @@ fn json_report(
                         Json::obj([
                             ("n", Json::Int(r.n)),
                             ("index", Json::str(r.index)),
-                            ("factored", Json::Bool(r.factored)),
                             ("store_cells", Json::Int(r.store_cells as i64)),
                             ("answer_cells_factored", Json::Int(r.cells_factored as i64)),
                             ("answer_cells_full", Json::Int(r.cells_full as i64)),
@@ -700,21 +699,28 @@ fn serving(quick: bool) -> ServingReport {
 fn factoring(quick: bool) -> Vec<FactoringRow> {
     header("E14 / §4.5 — substitution factoring: answer store and warm serving of path(1,X)");
     println!("answers store only the bindings of the call's distinct variables;");
-    println!("the full-tuple baseline re-expands the call skeleton into every answer");
+    println!("full cells = what the same answers would occupy as full argument tuples");
     let sizes: &[i64] = if quick { &[64, 256] } else { &[64, 256, 1024] };
     let warm_reps = if quick { 3 } else { 5 };
     let rows = run_factoring(sizes, warm_reps);
     println!(
-        "{:>6} {:>6} {:>10} {:>12} {:>12} {:>12} {:>12} {:>14}",
-        "n", "index", "store", "store cells", "saved cells", "cold (s)", "warm (s)", "warm ans/s"
+        "{:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>14}",
+        "n",
+        "index",
+        "store cells",
+        "full cells",
+        "saved cells",
+        "cold (s)",
+        "warm (s)",
+        "warm ans/s"
     );
     for r in &rows {
         println!(
-            "{:>6} {:>6} {:>10} {:>12} {:>12} {:>12.6} {:>12.6} {:>14.0}",
+            "{:>6} {:>6} {:>12} {:>12} {:>12} {:>12.6} {:>12.6} {:>14.0}",
             r.n,
             r.index,
-            if r.factored { "factored" } else { "full" },
             r.store_cells,
+            r.cells_full,
             r.cells_saved,
             r.cold_secs,
             r.warm_secs,
@@ -885,29 +891,19 @@ fn ablation_tables(quick: bool) {
     };
     let reps = if quick { 2 } else { 3 };
     println!(
-        "{:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "n",
-        "hash (s)",
-        "trie (s)",
-        "t/h",
-        "hash cells",
-        "trie cells",
-        "space",
-        "hash unfac",
-        "trie unfac"
+        "{:>6} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
+        "n", "hash (s)", "trie (s)", "t/h", "hash cells", "trie cells", "space"
     );
     for r in run_table_index_ablation(sizes, reps) {
         println!(
-            "{:>6} {:>12.6} {:>12.6} {:>8.2} {:>12} {:>12} {:>8.2} {:>12} {:>12}",
+            "{:>6} {:>12.6} {:>12.6} {:>8.2} {:>12} {:>12} {:>8.2}",
             r.n,
             r.hash_secs,
             r.trie_secs,
             r.trie_secs / r.hash_secs,
             r.hash_cells,
             r.trie_cells,
-            r.trie_cells as f64 / r.hash_cells as f64,
-            r.hash_unfactored_cells,
-            r.trie_unfactored_cells
+            r.trie_cells as f64 / r.hash_cells as f64
         );
     }
 }

@@ -841,32 +841,18 @@ mod tests {
     #[test]
     fn factoring_strictly_reduces_store_cells() {
         let rows = run_factoring(&[24], 2);
-        assert_eq!(rows.len(), 4, "factored/unfactored x hash/trie");
-        for pair in rows.chunks(2) {
-            let (fac, unfac) = (&pair[0], &pair[1]);
-            assert!(fac.factored && !unfac.factored);
-            assert_eq!(fac.index, unfac.index);
+        assert_eq!(rows.len(), 2, "one row per index");
+        for r in &rows {
             assert!(
-                fac.store_cells < unfac.store_cells,
-                "{}: factored {} cells < unfactored {}",
-                fac.index,
-                fac.store_cells,
-                unfac.store_cells
+                r.store_cells < r.cells_full,
+                "{}: stored {} cells < full tuples {}",
+                r.index,
+                r.store_cells,
+                r.cells_full
             );
-            assert!(fac.cells_saved > 0, "{fac:?}");
-            assert_eq!(fac.cells_full, fac.cells_factored + fac.cells_saved);
+            assert!(r.cells_saved > 0, "{r:?}");
+            assert_eq!(r.cells_full, r.cells_factored + r.cells_saved);
         }
-    }
-
-    #[test]
-    fn table_index_ablation_includes_unfactored_baseline() {
-        let rows = run_table_index_ablation(&[12], 1);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        // path(X,Y) over a cycle is an all-variable call: factored and
-        // full answers coincide, so the baseline stores the same cells
-        assert!(r.hash_cells <= r.hash_unfactored_cells, "{r:?}");
-        assert!(r.trie_cells <= r.trie_unfactored_cells, "{r:?}");
     }
 }
 
@@ -881,31 +867,12 @@ pub struct TableIndexRow {
     pub trie_secs: f64,
     pub hash_cells: u64,
     pub trie_cells: u64,
-    /// same workload with substitution factoring off (full tuples)
-    pub hash_unfactored_cells: u64,
-    pub trie_unfactored_cells: u64,
 }
 
-/// An engine on the Figure-5 cycle workload with a chosen table index and
-/// answer-store representation.
-fn configured_engine(
-    index: xsb_core::table::TableIndex,
-    factored: bool,
-    edges: &[(i64, i64)],
-) -> Engine {
-    let mut e = Engine::new();
+/// An engine on the Figure-5 cycle workload with a chosen table index.
+fn configured_engine(index: xsb_core::table::TableIndex, edges: &[(i64, i64)]) -> Engine {
+    let mut e = engine_with_edges(PATH_LEFT_TABLED, edges);
     e.set_table_index(index);
-    e.set_answer_factoring(factored);
-    e.declare_dynamic("edge", 2).unwrap();
-    e.consult(PATH_LEFT_TABLED).unwrap();
-    let edge = e.syms.intern("edge");
-    for &(a, b) in edges {
-        e.assert_term(&xsb_syntax::Term::Compound(
-            edge,
-            vec![xsb_syntax::Term::Int(a), xsb_syntax::Term::Int(b)],
-        ))
-        .unwrap();
-    }
     e
 }
 
@@ -924,33 +891,12 @@ pub fn run_table_index_ablation(sizes: &[i64], reps: usize) -> Vec<TableIndexRow
         });
         let hash_cells = hash_e.tables.answer_store_cells();
 
-        let mut trie_e = Engine::new();
-        trie_e.set_table_index(xsb_core::table::TableIndex::Trie);
-        trie_e.declare_dynamic("edge", 2).unwrap();
-        trie_e.consult(PATH_LEFT_TABLED).unwrap();
-        let edge = trie_e.syms.intern("edge");
-        for &(a, b) in &edges {
-            trie_e
-                .assert_term(&xsb_syntax::Term::Compound(
-                    edge,
-                    vec![xsb_syntax::Term::Int(a), xsb_syntax::Term::Int(b)],
-                ))
-                .unwrap();
-        }
+        let mut trie_e = configured_engine(xsb_core::table::TableIndex::Trie, &edges);
         let t_trie = time_best(reps, || {
             trie_e.abolish_all_tables();
             assert_eq!(trie_e.count("path(X, Y)").unwrap(), expected * expected);
         });
         let trie_cells = trie_e.tables.answer_store_cells();
-
-        // the unfactored baseline under both indexes (cells only: the
-        // timing comparison at full scale is E14's job)
-        let mut unfac_hash = configured_engine(xsb_core::table::TableIndex::Hash, false, &edges);
-        assert_eq!(unfac_hash.count("path(X, Y)").unwrap(), expected * expected);
-        let hash_unfactored_cells = unfac_hash.tables.answer_store_cells();
-        let mut unfac_trie = configured_engine(xsb_core::table::TableIndex::Trie, false, &edges);
-        assert_eq!(unfac_trie.count("path(X, Y)").unwrap(), expected * expected);
-        let trie_unfactored_cells = unfac_trie.tables.answer_store_cells();
 
         out.push(TableIndexRow {
             n,
@@ -958,8 +904,6 @@ pub fn run_table_index_ablation(sizes: &[i64], reps: usize) -> Vec<TableIndexRow
             trie_secs: secs(t_trie),
             hash_cells,
             trie_cells,
-            hash_unfactored_cells,
-            trie_unfactored_cells,
         });
     }
     out
@@ -970,13 +914,12 @@ pub fn run_table_index_ablation(sizes: &[i64], reps: usize) -> Vec<TableIndexRow
 // ---------------------------------------------------------------------
 
 /// One configuration of the factoring experiment: a partially bound
-/// `path(1,X)` closure with the answer store factored or holding full
-/// tuples, under one table index.
+/// `path(1,X)` closure under one table index. The full-tuple comparison
+/// comes from the add-answer counters, not from a second store.
 #[derive(Debug, Clone)]
 pub struct FactoringRow {
     pub n: i64,
     pub index: &'static str,
-    pub factored: bool,
     /// answer-store cells actually held after the query
     pub store_cells: u64,
     /// `answer_cells_factored` counter (cells a factored store writes)
@@ -994,8 +937,9 @@ pub struct FactoringRow {
 /// Measures what substitution factoring buys on a partially bound call:
 /// `path(1, X)` over the Figure-5 cycle stores one binding cell per
 /// answer instead of the two-cell `(1, X)` tuple, and warm consumption
-/// binds answers straight out of the arena. Runs factored and unfactored
-/// stores under both table indexes.
+/// binds answers straight out of the arena. Runs under both table
+/// indexes; `cells_full` reports what the same answers would occupy as
+/// full argument tuples.
 pub fn run_factoring(sizes: &[i64], warm_reps: usize) -> Vec<FactoringRow> {
     use xsb_core::table::TableIndex;
     use xsb_obs::Counter;
@@ -1004,29 +948,26 @@ pub fn run_factoring(sizes: &[i64], warm_reps: usize) -> Vec<FactoringRow> {
         let edges = cycle_edges(n);
         let expected = n as usize;
         for (index, index_name) in [(TableIndex::Hash, "hash"), (TableIndex::Trie, "trie")] {
-            for factored in [true, false] {
-                let mut e = configured_engine(index, factored, &edges);
-                let t0 = Instant::now();
+            let mut e = configured_engine(index, &edges);
+            let t0 = Instant::now();
+            assert_eq!(e.count("path(1, X)").unwrap(), expected);
+            let cold = secs(t0.elapsed());
+            let warm = secs(time_best(warm_reps, || {
                 assert_eq!(e.count("path(1, X)").unwrap(), expected);
-                let cold = secs(t0.elapsed());
-                let warm = secs(time_best(warm_reps, || {
-                    assert_eq!(e.count("path(1, X)").unwrap(), expected);
-                }));
-                let store_cells = e.tables.answer_store_cells();
-                let m = e.metrics();
-                out.push(FactoringRow {
-                    n,
-                    index: index_name,
-                    factored,
-                    store_cells,
-                    cells_factored: m.get(Counter::AnswerCellsFactored),
-                    cells_full: m.get(Counter::AnswerCellsFull),
-                    cells_saved: m.get(Counter::AnswerCellsSaved),
-                    cold_secs: cold,
-                    warm_secs: warm,
-                    warm_answers_per_sec: expected as f64 / warm.max(1e-9),
-                });
-            }
+            }));
+            let store_cells = e.tables.answer_store_cells();
+            let m = e.metrics();
+            out.push(FactoringRow {
+                n,
+                index: index_name,
+                store_cells,
+                cells_factored: m.get(Counter::AnswerCellsFactored),
+                cells_full: m.get(Counter::AnswerCellsFull),
+                cells_saved: m.get(Counter::AnswerCellsSaved),
+                cold_secs: cold,
+                warm_secs: warm,
+                warm_answers_per_sec: expected as f64 / warm.max(1e-9),
+            });
         }
     }
     out

@@ -47,6 +47,18 @@ impl Solution {
     }
 }
 
+/// Decodes one solution's named-variable bindings off the machine heap
+/// (`_` is anonymous and skipped).
+fn decode_solution(m: &Machine<'_>, names: &[String], vars: &[Cell]) -> Solution {
+    let bindings = names
+        .iter()
+        .zip(vars)
+        .filter(|(name, _)| name.as_str() != "_")
+        .map(|(name, &v)| (name.clone(), m.heap_to_ast(v, &mut Vec::new())))
+        .collect();
+    Solution { bindings }
+}
+
 /// Library predicates consulted into every engine at startup.
 const PRELUDE: &str = r#"
 append([], L, L).
@@ -284,6 +296,43 @@ impl Engine {
         q: &str,
         mut f: impl FnMut(&Solution) -> bool,
     ) -> Result<(), EngineError> {
+        self.run_lifecycle(q, |m, names, vars| f(&decode_solution(m, names, vars)))?;
+        Ok(())
+    }
+
+    /// All solutions of a query.
+    pub fn query(&mut self, q: &str) -> Result<Vec<Solution>, EngineError> {
+        let mut out = Vec::new();
+        self.run_lifecycle(q, |m, names, vars| {
+            out.push(decode_solution(m, names, vars));
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// True iff the query has at least one solution.
+    pub fn holds(&mut self, q: &str) -> Result<bool, EngineError> {
+        Ok(self.run_lifecycle(q, |_, _, _| false)? > 0)
+    }
+
+    /// Number of solutions (driving the query to exhaustion, like the
+    /// paper's `?- path(1,X), fail.` timing harness). Does not decode
+    /// bindings — this is the tuple-at-a-time fail-loop fast path.
+    pub fn count(&mut self, q: &str) -> Result<usize, EngineError> {
+        self.run_lifecycle(q, |_, _, _| true)
+    }
+
+    /// The one query lifecycle behind every query entry point: parse,
+    /// compile, machine setup, the solution loop, metrics, table
+    /// teardown, budget enforcement, shared publish and span close. The
+    /// `sink` sees each solution as the machine plus the query's variable
+    /// names and heap cells (it decodes only what it needs) and returns
+    /// `false` to stop. Returns the number of solutions delivered.
+    fn run_lifecycle(
+        &mut self,
+        q: &str,
+        mut sink: impl FnMut(&Machine<'_>, &[String], &[Cell]) -> bool,
+    ) -> Result<usize, EngineError> {
         self.sync_shared_tables();
         let query = parse_query(q, &mut self.syms, &self.reader.ops)?;
         let goals: Vec<Term> = query
@@ -301,20 +350,12 @@ impl Engine {
         let sw = Stopwatch::new();
         let vars = machine.setup_query(qpred, nvars);
 
-        let mut nsol: u64 = 0;
+        let mut nsol = 0usize;
         let result = (|| -> Result<(), EngineError> {
             let mut outcome = machine.run(&mut self.syms)?;
             while outcome == Outcome::Solution {
                 nsol += 1;
-                let mut bindings = Vec::new();
-                for (i, name) in query.var_names.iter().enumerate() {
-                    if name == "_" {
-                        continue;
-                    }
-                    let mut var_out = Vec::new();
-                    bindings.push((name.clone(), machine.heap_to_ast(vars[i], &mut var_out)));
-                }
-                if !f(&Solution { bindings }) {
+                if !sink(&machine, &query.var_names, &vars) {
                     break;
                 }
                 outcome = machine.next_solution(&mut self.syms)?;
@@ -330,76 +371,8 @@ impl Engine {
         self.tables.end_query();
         self.enforce_table_budget();
         self.publish_shared_tables();
-        self.finish_query_obs(qspan, elapsed_ns, nsol);
-        result
-    }
-
-    /// All solutions of a query.
-    pub fn query(&mut self, q: &str) -> Result<Vec<Solution>, EngineError> {
-        let mut out = Vec::new();
-        self.run_query(q, |s| {
-            out.push(s.clone());
-            true
-        })?;
-        Ok(out)
-    }
-
-    /// True iff the query has at least one solution.
-    pub fn holds(&mut self, q: &str) -> Result<bool, EngineError> {
-        Ok(self.run_counting(q, true)? > 0)
-    }
-
-    /// Number of solutions (driving the query to exhaustion, like the
-    /// paper's `?- path(1,X), fail.` timing harness). Does not decode
-    /// bindings — this is the tuple-at-a-time fail-loop fast path.
-    pub fn count(&mut self, q: &str) -> Result<usize, EngineError> {
-        self.run_counting(q, false)
-    }
-
-    /// Shared driver for [`Engine::holds`] / [`Engine::count`]: runs the
-    /// query without constructing [`Solution`] values.
-    fn run_counting(&mut self, q: &str, stop_at_first: bool) -> Result<usize, EngineError> {
-        self.sync_shared_tables();
-        let query = parse_query(q, &mut self.syms, &self.reader.ops)?;
-        let goals: Vec<Term> = query
-            .goals
-            .iter()
-            .map(|g| self.reader.hilog.encode(g))
-            .collect();
-        let nvars = query.var_names.len() as u32;
-        let qpred = compile_query(&mut self.db, &mut self.syms, &goals, nvars)?;
-
-        let qspan = self.obs.spans.begin("query", NO_ID);
-        let mut machine = Machine::new(&mut self.db, &mut self.tables);
-        machine.step_limit = self.step_limit;
-        machine.obs = std::mem::take(&mut self.obs);
-        let sw = Stopwatch::new();
-        machine.setup_query(qpred, nvars);
-
-        let result = (|| -> Result<usize, EngineError> {
-            let mut n = 0usize;
-            let mut outcome = machine.run(&mut self.syms)?;
-            while outcome == Outcome::Solution {
-                n += 1;
-                if stop_at_first {
-                    break;
-                }
-                outcome = machine.next_solution(&mut self.syms)?;
-            }
-            Ok(n)
-        })();
-
-        let elapsed_ns = sw.elapsed_nanos();
-        machine.obs.metrics.query_time.record(sw);
-        machine.obs.metrics.query_latency.record(elapsed_ns);
-        self.obs = std::mem::take(&mut machine.obs);
-        drop(machine);
-        self.tables.end_query();
-        self.enforce_table_budget();
-        self.publish_shared_tables();
-        let answers = result.as_ref().copied().unwrap_or(0) as u64;
-        self.finish_query_obs(qspan, elapsed_ns, answers);
-        result
+        self.finish_query_obs(qspan, elapsed_ns, nsol as u64);
+        result.map(|()| nsol)
     }
 
     /// Catches up with invalidations other pool workers pushed since this
@@ -689,11 +662,9 @@ impl Engine {
     /// pool-shared store connection.
     pub fn set_table_index(&mut self, index: crate::table::TableIndex) {
         let budget = self.tables.budget();
-        let factored = self.tables.factored();
         let shared = self.tables.take_shared();
         self.tables = TableSpace::with_index(index);
         self.tables.set_budget(budget);
-        self.tables.set_factored(factored);
         self.tables.restore_shared(shared);
     }
 
@@ -1016,15 +987,6 @@ impl Engine {
     /// `(before, after)`.
     pub fn checkpoint(&mut self) -> Result<(u64, u64), EngineError> {
         crate::durable::checkpoint(&mut self.db, &self.syms, &mut self.obs.metrics)
-    }
-
-    /// Switches substitution factoring for *new* tables: `true` (the
-    /// default) stores answers as bindings of the call's distinct
-    /// variables; `false` stores full argument tuples (the paper's
-    /// pre-factoring baseline, kept for the `factoring` ablation). Frames
-    /// already created keep the representation they were built with.
-    pub fn set_answer_factoring(&mut self, on: bool) {
-        self.tables.set_factored(on);
     }
 
     // ------------------------------------------------------------------

@@ -37,12 +37,12 @@
 //! table — one compute pool-wide instead of N, with a bounded wait and
 //! local-compute fallback so a stuck claimant can never wedge the pool.
 
-use crate::durable::{werr, DurableLog, Record};
+use crate::durable::{note_ack, werr, DurableLog, Record};
 use crate::engine::{Engine, Solution};
 use crate::error::EngineError;
 use crate::shared::SharedTableStore;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use xsb_obs::{Metrics, Stopwatch};
@@ -173,6 +173,9 @@ pub struct ServerPool {
     store: Arc<SharedTableStore>,
     /// the pool's durable log, when built via the durable constructors
     log: Option<Arc<DurableLog>>,
+    /// WAL counters and commit latency of the pool-level records (the
+    /// base program, broadcasts), merged into [`ServerPool::metrics`]
+    log_metrics: Mutex<Metrics>,
     /// round-robin cursor for [`ServerPool::submit`]
     next: std::sync::atomic::AtomicUsize,
     /// streamed jobs currently queued or running pool-wide; workers
@@ -224,15 +227,17 @@ impl ServerPool {
                 "durable log already holds a program; use ServerPool::reopen".into(),
             ));
         }
-        log.append_record(
+        let log_metrics = Mutex::new(Metrics::default());
+        log_pool_record(
+            &log,
             &Record::Program {
                 text: program.to_string(),
             },
-            &SymbolTable::new(),
-            true,
-        )
-        .map_err(werr)?;
-        Self::build(None, config, Some(log))
+            &log_metrics,
+        )?;
+        let mut pool = Self::build(None, config, Some(log))?;
+        pool.log_metrics = log_metrics;
+        Ok(pool)
     }
 
     /// Reopens a durable pool from the WAL at `path`: each worker
@@ -422,6 +427,7 @@ impl ServerPool {
             workers,
             store,
             log,
+            log_metrics: Mutex::new(Metrics::default()),
             next: std::sync::atomic::AtomicUsize::new(0),
             inflight,
             queue_depth: config.queue_depth,
@@ -547,14 +553,13 @@ impl ServerPool {
         // per-worker consult legs run with per-mutation logging
         // suspended (see `Engine::consult_broadcast`)
         if let Some(log) = &self.log {
-            log.append_record(
+            log_pool_record(
+                log,
                 &Record::Broadcast {
                     text: src.to_string(),
                 },
-                &SymbolTable::new(),
-                true,
-            )
-            .map_err(werr)?;
+                &self.log_metrics,
+            )?;
         }
         let mut pending = Vec::with_capacity(self.workers.len());
         for w in &self.workers {
@@ -591,8 +596,25 @@ impl ServerPool {
                 total.merge(&m);
             }
         }
+        total.merge(&self.log_metrics.lock().unwrap());
         total
     }
+}
+
+/// Appends a pool-level record as a commit point and counts it in
+/// `metrics` the way a worker counts its own writes (appends, fsyncs,
+/// group-commit batch, commit latency).
+fn log_pool_record(
+    log: &DurableLog,
+    rec: &Record,
+    metrics: &Mutex<Metrics>,
+) -> Result<(), EngineError> {
+    let sw = Stopwatch::new();
+    let ack = log
+        .append_record(rec, &SymbolTable::new(), true)
+        .map_err(werr)?;
+    note_ack(&mut metrics.lock().unwrap(), &ack, Some(sw));
+    Ok(())
 }
 
 impl Drop for ServerPool {

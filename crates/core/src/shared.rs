@@ -61,8 +61,6 @@ pub struct SharedFrame {
     pub canon: Arc<[Cell]>,
     /// number of distinct variables in the call
     pub nvars: u32,
-    /// whether `cells` holds factored bindings or full tuples
-    pub factored: bool,
     /// non-variable cells in `canon` (full-size accounting)
     pub ground_cells: u32,
     /// occurrences of each distinct call variable in `canon`
@@ -83,7 +81,6 @@ impl SharedFrame {
         pred: PredId,
         canon: Arc<[Cell]>,
         nvars: u32,
-        factored: bool,
         ground_cells: u32,
         var_occ: Vec<u32>,
         cells: Arc<[Cell]>,
@@ -94,7 +91,6 @@ impl SharedFrame {
             pred,
             canon,
             nvars,
-            factored,
             ground_cells,
             var_occ,
             cells,
@@ -608,7 +604,6 @@ mod tests {
             pred,
             Arc::from(key),
             1,
-            true,
             0,
             vec![1],
             Arc::from(cells),

@@ -228,9 +228,6 @@ pub struct SubgoalFrame {
     /// answers in derivation order, substitution factored: each entry is
     /// the canonical bindings of the call's distinct variables only
     pub store: AnswerStore,
-    /// whether this frame's answers are substitution factored (recorded
-    /// at creation; the unfactored store is the bench baseline)
-    pub factored: bool,
     /// non-variable cells in `canon` — the ground skeleton a full answer
     /// tuple would repeat (full-size accounting)
     pub ground_cells: u32,
@@ -330,7 +327,7 @@ pub struct NegSusp {
 
 /// The global table space. Completed tables persist across queries;
 /// consumers, suspensions and the completion stack are per-query.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TableSpace {
     pub subgoals: Vec<SubgoalFrame>,
     lookup: HashMap<PredId, HashMap<Arc<[Cell]>, SubgoalId>>,
@@ -344,10 +341,6 @@ pub struct TableSpace {
     pub completion_stack: Vec<SubgoalId>,
     dfn_counter: u32,
     pub index: TableIndex,
-    /// whether new frames store answers substitution factored (the
-    /// default) or as full argument tuples (the E14 bench baseline);
-    /// existing frames keep the mode they were created with
-    factored: bool,
     /// frames invalidated while still incomplete: the running query keeps
     /// its call-time view (logical-update semantics); the frames are freed
     /// at [`TableSpace::end_query`] so the *next* query recomputes them
@@ -419,26 +412,6 @@ pub enum SharedClaim {
     TimedOut { parked: bool, waited_ns: u64 },
 }
 
-impl Default for TableSpace {
-    fn default() -> Self {
-        TableSpace {
-            subgoals: Vec::new(),
-            lookup: HashMap::new(),
-            subgoal_tries: HashMap::new(),
-            consumers: Vec::new(),
-            negs: Vec::new(),
-            completion_stack: Vec::new(),
-            dfn_counter: 0,
-            index: TableIndex::default(),
-            factored: true,
-            pending_invalidation: Vec::new(),
-            budget_cells: None,
-            clock: 0,
-            shared: None,
-        }
-    }
-}
-
 impl TableSpace {
     pub fn new() -> Self {
         Self::default()
@@ -450,19 +423,6 @@ impl TableSpace {
             index,
             ..Self::default()
         }
-    }
-
-    /// Switches the answer representation for frames created from now on:
-    /// `true` (the default) stores substitution-factored answers; `false`
-    /// stores full argument tuples — the unfactored baseline the E14
-    /// bench measures against. Existing frames are unaffected (each frame
-    /// records its own mode, so answer return always matches the store).
-    pub fn set_factored(&mut self, factored: bool) {
-        self.factored = factored;
-    }
-
-    pub fn factored(&self) -> bool {
-        self.factored
     }
 
     /// Finds an existing (non-deleted) table for this variant call.
@@ -521,7 +481,6 @@ impl TableSpace {
             canon: canon.clone(),
             nvars: subst.len() as u32,
             store: AnswerStore::default(),
-            factored: self.factored,
             ground_cells,
             var_occ,
             state: SubgoalState::Incomplete,
@@ -1059,7 +1018,6 @@ impl TableSpace {
             canon: sf.canon.clone(),
             nvars: sf.nvars,
             store: AnswerStore::from_shared(sf.cells.clone(), sf.spans.clone()),
-            factored: sf.factored,
             ground_cells: sf.ground_cells,
             var_occ: sf.var_occ.clone(),
             state: SubgoalState::Complete,
@@ -1154,7 +1112,6 @@ impl TableSpace {
                 f.pred,
                 f.canon.clone(),
                 f.nvars,
-                f.factored,
                 f.ground_cells,
                 f.var_occ.clone(),
                 cells.clone(),
@@ -1380,10 +1337,8 @@ pub fn canon_root_spans(seq: &[Cell], count: usize, out: &mut Vec<(u32, u32)>) {
 
 /// Renders one *factored* answer back into full call form: the frame's
 /// canonical call template with every variable position replaced by its
-/// binding from the factored sequence. This is what the answer *means*
-/// (and what an unfactored store would hold verbatim) — rendering
-/// re-expands it so listings and traces look identical under both
-/// representations.
+/// binding from the factored sequence. This is what the answer *means*;
+/// listings and traces show it in this form, never the stored bindings.
 pub fn format_answer(
     template: &[Cell],
     answer: &[Cell],
@@ -1445,16 +1400,13 @@ fn format_answer_at(
 }
 
 /// One line per answer of a subgoal frame, rendered in full call form
-/// regardless of the stored representation (factored answers are
-/// re-expanded through the call template; the ground call's boolean
-/// answer prints as `yes`).
+/// (factored answers are re-expanded through the call template; the
+/// ground call's boolean answer prints as `yes`).
 pub fn answer_listing(f: &SubgoalFrame, syms: &SymbolTable) -> String {
     let mut out = String::new();
     for i in 0..f.store.len() {
         let ans = f.store.get(i);
-        let line = if !f.factored {
-            format_canon(ans, syms)
-        } else if f.nvars == 0 {
+        let line = if f.nvars == 0 {
             "yes".to_string()
         } else {
             format_answer(&f.canon, ans, f.nvars as usize, syms)
@@ -1589,19 +1541,6 @@ mod tests {
         let f = ts.frame(id);
         assert_eq!(f.ground_cells, 2);
         assert_eq!(f.var_occ, vec![2, 1]);
-        assert!(f.factored);
-    }
-
-    #[test]
-    fn unfactored_mode_marks_new_frames_only() {
-        let mut ts = TableSpace::new();
-        let a = mk(&mut ts, 0, &[Cell::tvar(0)]);
-        ts.set_factored(false);
-        let b = mk(&mut ts, 0, &[Cell::int(1), Cell::tvar(0)]);
-        assert!(ts.frame(a).factored, "existing frame keeps its mode");
-        assert!(!ts.frame(b).factored);
-        ts.set_factored(true);
-        assert!(!ts.frame(b).factored);
     }
 
     #[test]

@@ -474,3 +474,40 @@ fn pool_double_crash_converges() {
     assert_eq!(pool.submit_count("f(X)", Some(1)).wait().unwrap(), 3);
     assert_eq!(pool.submit_count("f(X)", Some(0)).wait().unwrap(), 1);
 }
+
+/// Pool-level records (the base program and every `consult_all`
+/// broadcast) are commit points of the shared log, so they show in the
+/// pool's WAL counters and commit-latency histogram like worker writes.
+#[test]
+fn pool_level_records_count_in_wal_metrics() {
+    let fs = shared_failpoint();
+    let log = Arc::new(DurableLog::open(Box::new(fs)).unwrap());
+    log.set_group_window_us(0);
+    let cfg = PoolConfig {
+        workers: 2,
+        ..PoolConfig::default()
+    };
+    let pool = ServerPool::new_durable(":- dynamic f/1.\nf(1).\n", cfg, log).unwrap();
+    let k = 5u64;
+    for i in 0..k {
+        pool.consult_all(&format!("f({}).\n", i + 10)).unwrap();
+    }
+    let m = pool.metrics();
+    // the Program record plus k broadcasts, each fsynced at window 0
+    assert!(
+        m.get(Counter::WalAppends) > k,
+        "{}",
+        m.get(Counter::WalAppends)
+    );
+    assert!(
+        m.get(Counter::WalFsyncs) >= k,
+        "{}",
+        m.get(Counter::WalFsyncs)
+    );
+    assert!(
+        m.commit_latency.count() >= k,
+        "{}",
+        m.commit_latency.count()
+    );
+    assert_eq!(pool.count("f(X)").unwrap(), 1 + k as usize);
+}

@@ -2,9 +2,8 @@
 //! copy-in/copy-out, and trail-based state restoration — the invariants
 //! every SLG operation relies on.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Runs on the in-tree deterministic `proptest` stand-in
+// (crates/proptest): `cargo test -p xsb-core --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;

@@ -1,11 +1,12 @@
 //! Regression tests pinning the rendered table formats: `tables/0`
 //! (`Engine::table_listing`) and the per-answer full-call-form listing
-//! must stay byte-identical whether answers are stored substitution
-//! factored (the default) or as full tuples (the `factoring` ablation
-//! baseline), and under both table index representations.
+//! must stay byte-identical under both table index representations, and
+//! the substitution-factored store must keep the call skeleton out of
+//! every answer.
 
 use xsb_core::table::{answer_listing, TableIndex};
 use xsb_core::Engine;
+use xsb_obs::Counter;
 
 const CYCLE3: &str = r#"
     :- table path/2.
@@ -36,21 +37,15 @@ fn table_listing_bytes_are_pinned() {
 #[test]
 fn table_listing_is_identical_across_store_representations() {
     let mut expected = None;
-    for factored in [true, false] {
-        for index in [TableIndex::Hash, TableIndex::Trie] {
-            let mut e = Engine::new();
-            e.set_table_index(index);
-            e.set_answer_factoring(factored);
-            e.consult(CYCLE3).unwrap();
-            assert_eq!(e.count("path(1, X)").unwrap(), 3);
-            let listing = e.table_listing();
-            match &expected {
-                None => expected = Some(listing),
-                Some(want) => assert_eq!(
-                    &listing, want,
-                    "factored={factored} index={index:?} changed the listing"
-                ),
-            }
+    for index in [TableIndex::Hash, TableIndex::Trie] {
+        let mut e = Engine::new();
+        e.set_table_index(index);
+        e.consult(CYCLE3).unwrap();
+        assert_eq!(e.count("path(1, X)").unwrap(), 3);
+        let listing = e.table_listing();
+        match &expected {
+            None => expected = Some(listing),
+            Some(want) => assert_eq!(&listing, want, "index={index:?} changed the listing"),
         }
     }
     assert_eq!(
@@ -64,9 +59,9 @@ fn answer_listing_renders_full_call_form() {
     // an open call: the whole argument tuple is variable, so the factored
     // store holds just the bindings — the listing re-expands them
     let mut want = None;
-    for factored in [true, false] {
+    for index in [TableIndex::Hash, TableIndex::Trie] {
         let mut e = Engine::new();
-        e.set_answer_factoring(factored);
+        e.set_table_index(index);
         e.consult(SKELETON).unwrap();
         assert_eq!(e.count("q(U, V)").unwrap(), 2);
         let f = e
@@ -103,22 +98,15 @@ fn ground_call_answer_lists_as_yes() {
 #[test]
 fn partially_bound_call_keeps_skeleton_out_of_the_store() {
     // q(f(1), V): the f(1) skeleton lives in the call template only;
-    // the single answer stores just V's binding g(1,b) — 4 cells —
-    // instead of the 7-cell full tuple
+    // the single answer stores just V's binding g(1,b) — 3 cells —
+    // instead of the 5-cell full tuple (f/1, 1, g/2, 1, b)
     let mut e = engine(SKELETON);
     assert_eq!(e.count("q(f(1), V)").unwrap(), 1);
-    let factored_cells = e.tables.answer_store_cells();
-
-    let mut base = Engine::new();
-    base.set_answer_factoring(false);
-    base.consult(SKELETON).unwrap();
-    assert_eq!(base.count("q(f(1), V)").unwrap(), 1);
-    let full_cells = base.tables.answer_store_cells();
-
-    assert!(
-        factored_cells < full_cells,
-        "factored {factored_cells} cells < full {full_cells} cells"
-    );
+    assert_eq!(e.tables.answer_store_cells(), 3);
+    let m = e.metrics();
+    assert_eq!(m.get(Counter::AnswerCellsFactored), 3);
+    assert_eq!(m.get(Counter::AnswerCellsFull), 5);
+    assert_eq!(m.get(Counter::AnswerCellsSaved), 2);
     let f = e
         .tables
         .subgoals

@@ -3,9 +3,8 @@
 //! is associative and agrees with recording the concatenation, and
 //! `diff` of cumulative snapshots recovers the later phase exactly.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Runs on the in-tree deterministic `proptest` stand-in
+// (crates/proptest): `cargo test -p xsb-obs --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;

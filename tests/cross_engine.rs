@@ -3,9 +3,8 @@
 //! the same answers on stratified programs — the paper's correctness
 //! premise for comparing their performance at all.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Runs on the in-tree deterministic `proptest` stand-in
+// (crates/proptest): `cargo test --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;

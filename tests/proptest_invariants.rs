@@ -3,9 +3,8 @@
 //! answer-set properties of tabling, and the first-string trie against a
 //! naive clause filter.
 
-// Property tests require the external `proptest` crate, which the
-// offline sandbox cannot fetch. Re-add the dev-dependency and enable
-// the `proptest` feature to run these.
+// Runs on the in-tree deterministic `proptest` stand-in
+// (crates/proptest): `cargo test --features proptest`.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
